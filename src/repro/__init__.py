@@ -24,31 +24,65 @@ Quickstart::
     print(result.delay, result.cost, sorted(result.graph.edges()))
 """
 
-from repro.geometry import Net, Point
-from repro.graph import RoutingGraph, iterated_one_steiner, prim_mst
-from repro.delay import (
-    DelayModel,
-    Technology,
-    elmore_delays,
-    graph_elmore_delays,
-    spice_delay,
-    spice_delays,
-)
-from repro.core import (
-    RoutingResult,
-    csorg_ldrg,
-    ert,
-    ert_ldrg,
-    h1,
-    h2,
-    h3,
-    horg,
-    ldrg,
-    sldrg,
-    wsorg,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.geometry import Net, Point
+    from repro.graph import RoutingGraph, iterated_one_steiner, prim_mst
+    from repro.delay import (
+        DelayModel,
+        Technology,
+        elmore_delays,
+        graph_elmore_delays,
+        spice_delay,
+        spice_delays,
+    )
+    from repro.core import (
+        RoutingResult,
+        csorg_ldrg,
+        ert,
+        ert_ldrg,
+        h1,
+        h2,
+        h3,
+        horg,
+        ldrg,
+        sldrg,
+        wsorg,
+    )
 
 __version__ = "1.0.0"
+
+#: Public name -> the subpackage defining it. Names resolve on first
+#: access (PEP 562), so ``import repro`` — and with it every
+#: ``python -m repro`` command — does not pay for numpy and scipy
+#: before it needs them. ``repro serve`` relies on this to latch
+#: SIGTERM early in start-up (see :mod:`repro.startup`).
+_EXPORTS = {
+    "DelayModel": "repro.delay",
+    "Net": "repro.geometry",
+    "Point": "repro.geometry",
+    "RoutingGraph": "repro.graph",
+    "RoutingResult": "repro.core",
+    "Technology": "repro.delay",
+    "csorg_ldrg": "repro.core",
+    "elmore_delays": "repro.delay",
+    "ert": "repro.core",
+    "ert_ldrg": "repro.core",
+    "graph_elmore_delays": "repro.delay",
+    "h1": "repro.core",
+    "h2": "repro.core",
+    "h3": "repro.core",
+    "horg": "repro.core",
+    "iterated_one_steiner": "repro.graph",
+    "ldrg": "repro.core",
+    "prim_mst": "repro.graph",
+    "sldrg": "repro.core",
+    "spice_delay": "repro.delay",
+    "spice_delays": "repro.delay",
+    "wsorg": "repro.core",
+}
 
 __all__ = [
     "DelayModel",
@@ -74,3 +108,16 @@ __all__ = [
     "spice_delays",
     "wsorg",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

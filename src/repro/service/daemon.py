@@ -89,6 +89,7 @@ from repro.service.session import (
 )
 from repro.service.supervisor import HEARTBEAT_FILENAME, PID_FILENAME
 from repro.service.wal import PendingEntry, RequestWAL, compact, load_pending
+from repro.startup import take_latched_sigterm
 
 #: One response writer: thread-safe, never raises into the executor.
 Reply = Callable[[dict[str, Any]], None]
@@ -321,6 +322,11 @@ class RoutingDaemon:
         self._previous_sigterm = signal.getsignal(signal.SIGTERM)
         signal.signal(signal.SIGTERM, _on_term)
         self._signals_installed = True
+        if take_latched_sigterm(self._previous_sigterm):
+            # SIGTERM came during start-up, before this handler: drain
+            # now, before the transport reads a frame, so every frame
+            # is answered ``draining`` instead of going unread.
+            self.request_drain()
 
     def _restore_signal_handlers(self) -> None:
         """Put back whatever SIGTERM handler the host process had.

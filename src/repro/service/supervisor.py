@@ -22,7 +22,11 @@ guard-incident code: the operator must intervene).
 
 A clean child exit (0 — EOF drain or SIGTERM drain) ends supervision
 with exit 0. SIGTERM/SIGINT to the supervisor are forwarded to the
-child as SIGTERM, so the whole tree drains gracefully as one unit.
+child as SIGTERM, so the whole tree drains gracefully as one unit. A
+stop that comes while no child runs (during start-up or a restart
+backoff) is handed to the next child through the environment (see
+:mod:`repro.startup`): it starts with SIGTERM latched and drains at
+once, so frames already in the pipe are still answered.
 
 Every lifecycle decision is appended to ``supervisor.log.jsonl`` in the
 run directory (one JSON object per line), so a post-mortem can replay
@@ -45,6 +49,7 @@ from typing import Any, Callable, Sequence
 from repro.contracts import boundary
 from repro.runtime.journal import atomic_write_text
 from repro.runtime.retry import RetryPolicy
+from repro.startup import LATCHED_ENV, take_latched_sigterm
 
 #: Exit status of a supervisor that gave up on a crash-looping child.
 EXIT_GIVE_UP = 3
@@ -166,7 +171,13 @@ class Supervisor:
         # belong to the supervisor's caller and must survive child
         # death, so a restarted generation keeps reading the same
         # stream where its predecessor stopped.
-        child = subprocess.Popen(self.child_argv)
+        env = None
+        if self._stop_requested:
+            # Told to stop while no child was running to forward to:
+            # the new child starts with SIGTERM latched and drains at
+            # once, so frames already in the pipe are still answered.
+            env = {**os.environ, LATCHED_ENV: "1"}
+        child = subprocess.Popen(self.child_argv, env=env)
         self._child = child
         self._spawned_at = time.time()
         self._log({"event": "spawn", "generation": self.generation,
@@ -245,6 +256,9 @@ class Supervisor:
         for signum in (signal.SIGTERM, signal.SIGINT):
             previous[signum] = signal.getsignal(signum)
             signal.signal(signum, _forward)
+        if take_latched_sigterm(previous[signal.SIGTERM]):
+            # SIGTERM came during start-up, before forwarding existed.
+            self._stop_requested = True
         return previous
 
     def _restore_signal_forwarding(self, previous: dict[int, Any]) -> None:

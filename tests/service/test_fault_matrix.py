@@ -97,6 +97,9 @@ class TestFaultMatrix:
             assert response["status"] in ("ok", "error")
             if response["status"] == "error":
                 assert response["error"]["kind"] in TYPED_KINDS
+        # the signal landed while frames were still pending
+        assert any(response.get("error", {}).get("kind")
+                   in ("draining", "drained") for response in responses)
 
     def test_pool_mode_survives_real_kills(self, tmp_path):
         lines = request_stream(30, duplicate_every=0)
